@@ -1,12 +1,11 @@
 //! `fig_vectorized`: the batch-vectorization ablation (§9's MonetDB/X100
 //! direction), and the producer of `BENCH_vm.json`.
 //!
-//! Each workload runs on four engines:
+//! Each workload runs on these engines:
 //!
 //! * `linq` — the unoptimized boxed-iterator chains (§2's baseline),
-//! * `vm_scalar` — the bytecode VM with fusion and vectorization off
+//! * `vm_scalar` — the bytecode VM with vectorization off
 //!   (per-instruction dispatch over unboxed registers),
-//! * `vm_fused` — the scalar whole-loop fusion tier,
 //! * `vm_vectorized` — the typed column-batch engine (the default), and
 //! * `hand` — the hand-written Rust loop, as the floor.
 //!
@@ -59,42 +58,33 @@ fn bench_time<O>(routine: impl FnMut() -> O) -> Duration {
     }
 }
 
-fn opts(fusion: bool, vectorize: VectorizationPolicy) -> StenoOptions {
+fn opts(vectorize: VectorizationPolicy) -> StenoOptions {
     StenoOptions {
-        fusion,
         vectorize,
         ..StenoOptions::default()
     }
 }
 
-/// Compiles `q` three ways and checks the engines landed where expected.
+/// Compiles `q` on both tiers and checks the engines landed where
+/// expected.
 fn compile_tiers(
     q: &QueryExpr,
     ctx: &DataContext,
     udfs: &UdfRegistry,
-) -> (CompiledQuery, CompiledQuery, CompiledQuery) {
-    let scalar = CompiledQuery::compile_tuned(
-        q,
-        ctx.into(),
-        udfs,
-        opts(false, VectorizationPolicy::Off),
-    )
-    .expect("compile scalar");
-    let fused =
-        CompiledQuery::compile_tuned(q, ctx.into(), udfs, opts(true, VectorizationPolicy::Off))
-            .expect("compile fused");
+) -> (CompiledQuery, CompiledQuery) {
+    let scalar = CompiledQuery::compile_tuned(q, ctx.into(), udfs, opts(VectorizationPolicy::Off))
+        .expect("compile scalar");
     let vectorized =
-        CompiledQuery::compile_tuned(q, ctx.into(), udfs, opts(true, VectorizationPolicy::Auto))
+        CompiledQuery::compile_tuned(q, ctx.into(), udfs, opts(VectorizationPolicy::Auto))
             .expect("compile vectorized");
     assert_eq!(scalar.engine(), EngineKind::Scalar);
-    assert_eq!(fused.engine(), EngineKind::Scalar);
     assert_eq!(
         vectorized.engine(),
         EngineKind::Vectorized,
         "workload must vectorize; fallbacks: {:?}",
         vectorized.batch_fallbacks()
     );
-    (scalar, fused, vectorized)
+    (scalar, vectorized)
 }
 
 struct Row {
@@ -130,7 +120,7 @@ fn sum_of_squares(records: &mut Vec<BenchRecord>) {
         .select(Expr::var("x") * Expr::var("x"), "x")
         .sum()
         .build();
-    let (scalar, fused, vectorized) = compile_tiers(&q, &ctx, &udfs);
+    let (scalar, vectorized) = compile_tiers(&q, &ctx, &udfs);
 
     // All engines agree before any of them is timed.
     let expect = {
@@ -140,7 +130,7 @@ fn sum_of_squares(records: &mut Vec<BenchRecord>) {
         }
         s
     };
-    for c in [&scalar, &fused, &vectorized] {
+    for c in [&scalar, &vectorized] {
         assert_eq!(c.run(&ctx, &udfs).expect("run"), Value::F64(expect));
     }
 
@@ -153,10 +143,6 @@ fn sum_of_squares(records: &mut Vec<BenchRecord>) {
         Row {
             engine: "vm_scalar",
             median: bench_time(|| scalar.run(&ctx, &udfs).expect("run")),
-        },
-        Row {
-            engine: "vm_fused",
-            median: bench_time(|| fused.run(&ctx, &udfs).expect("run")),
         },
         Row {
             engine: "vm_vectorized",
@@ -188,7 +174,7 @@ fn filtered_sum(records: &mut Vec<BenchRecord>) {
         .select(Expr::var("x") * Expr::litf(2.0), "x")
         .sum()
         .build();
-    let (scalar, fused, vectorized) = compile_tiers(&q, &ctx, &udfs);
+    let (scalar, vectorized) = compile_tiers(&q, &ctx, &udfs);
 
     let expect = {
         let mut s = 0.0;
@@ -199,7 +185,7 @@ fn filtered_sum(records: &mut Vec<BenchRecord>) {
         }
         s
     };
-    for c in [&scalar, &fused, &vectorized] {
+    for c in [&scalar, &vectorized] {
         assert_eq!(c.run(&ctx, &udfs).expect("run"), Value::F64(expect));
     }
 
@@ -214,10 +200,6 @@ fn filtered_sum(records: &mut Vec<BenchRecord>) {
         Row {
             engine: "vm_scalar",
             median: bench_time(|| scalar.run(&ctx, &udfs).expect("run")),
-        },
-        Row {
-            engine: "vm_fused",
-            median: bench_time(|| fused.run(&ctx, &udfs).expect("run")),
         },
         Row {
             engine: "vm_vectorized",
@@ -251,7 +233,7 @@ fn int_even_squares(records: &mut Vec<BenchRecord>) {
         .select(Expr::var("x") * Expr::var("x"), "x")
         .sum()
         .build();
-    let (scalar, fused, vectorized) = compile_tiers(&q, &ctx, &udfs);
+    let (scalar, vectorized) = compile_tiers(&q, &ctx, &udfs);
 
     let expect = {
         let mut s = 0i64;
@@ -262,7 +244,7 @@ fn int_even_squares(records: &mut Vec<BenchRecord>) {
         }
         s
     };
-    for c in [&scalar, &fused, &vectorized] {
+    for c in [&scalar, &vectorized] {
         assert_eq!(c.run(&ctx, &udfs).expect("run"), Value::I64(expect));
     }
 
@@ -270,10 +252,6 @@ fn int_even_squares(records: &mut Vec<BenchRecord>) {
         Row {
             engine: "vm_scalar",
             median: bench_time(|| scalar.run(&ctx, &udfs).expect("run")),
-        },
-        Row {
-            engine: "vm_fused",
-            median: bench_time(|| fused.run(&ctx, &udfs).expect("run")),
         },
         Row {
             engine: "vm_vectorized",
@@ -318,7 +296,7 @@ fn guarded_div_collatz(records: &mut Vec<BenchRecord>) {
         )
         .sum_by(Expr::var("y"), "y")
         .build();
-    let (scalar, fused, vectorized) = compile_tiers(&q, &ctx, &udfs);
+    let (scalar, vectorized) = compile_tiers(&q, &ctx, &udfs);
     assert!(
         vectorized.guards_dropped() >= 2,
         "range analysis must drop both the % 2 and / 2 guards: {}",
@@ -336,7 +314,7 @@ fn guarded_div_collatz(records: &mut Vec<BenchRecord>) {
         }
         s
     };
-    for c in [&scalar, &fused, &vectorized] {
+    for c in [&scalar, &vectorized] {
         assert_eq!(c.run(&ctx, &udfs).expect("run"), Value::I64(expect));
     }
 
@@ -344,10 +322,6 @@ fn guarded_div_collatz(records: &mut Vec<BenchRecord>) {
         Row {
             engine: "vm_scalar",
             median: bench_time(|| scalar.run(&ctx, &udfs).expect("run")),
-        },
-        Row {
-            engine: "vm_fused",
-            median: bench_time(|| fused.run(&ctx, &udfs).expect("run")),
         },
         Row {
             engine: "vm_vectorized",

@@ -258,7 +258,13 @@ fn injected_panic_is_retried_and_recovers() {
     let input = DistributedCollection::from_f64("xs", f64_data(600), PARTITIONS);
     let (clean, _) = run(&q, &input, VertexEngine::Steno, &RuntimeConfig::default()).unwrap();
 
-    let runtime = RuntimeConfig::with_faults(FaultPlan::panic_once(1));
+    // Speculation off: with backtrace capture on, the panicking attempt
+    // can outlast the speculation floor, a backup then completes the
+    // vertex, and the late panic is no longer counted as a retry.
+    let runtime = RuntimeConfig {
+        speculation: SpeculationPolicy::disabled(),
+        ..RuntimeConfig::with_faults(FaultPlan::panic_once(1))
+    };
     let (recovered, report) = run(&q, &input, VertexEngine::Steno, &runtime).unwrap();
     assert_eq!(recovered.key(), clean.key());
     assert_eq!(report.vertex_attempts[1], 2);

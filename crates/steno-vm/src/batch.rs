@@ -1,11 +1,11 @@
 //! The vectorized execution tier: typed column batches with selection
 //! vectors.
 //!
-//! The fusion tier ([`crate::fuse`]) already collapses whole f64 loops
-//! into superinstructions, but it is single-typed: one f64 slot bank,
-//! masks encoded as 1.0/0.0, i64 pipelines left on the scalar path. This
-//! module generalizes it into a proper vectorized engine in the
-//! MonetDB/X100 style the paper's §9 gestures at:
+//! This is the VM's one batch tier: every loop it accepts runs here,
+//! and every loop it refuses runs as scalar bytecode. It is a
+//! vectorized engine in the MonetDB/X100 style the paper's §9 gestures
+//! at, and its hottest tape shapes collapse further into whole-tape
+//! fused kernels ([`crate::fuse_kernels`]):
 //!
 //! * **three unboxed slot banks** (`f64`, `i64`, `bool`), each a vector
 //!   of 1024-lane batches, so integer and boolean pipelines vectorize

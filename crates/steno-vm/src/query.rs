@@ -56,22 +56,23 @@ impl std::error::Error for OptimizeError {}
 
 /// Whether the compiler may emit batch-vectorized loops.
 ///
-/// `Auto` (the default) vectorizes every eligible fused loop and falls
-/// back to the scalar tiers otherwise; `Off` disables the tier entirely
-/// (ablation baselines, debugging). Per-loop fallback reasons are
+/// `Auto` (the default) vectorizes every eligible loop and falls back to
+/// scalar bytecode otherwise; `Off` disables the tier entirely, so every
+/// loop runs scalar (ablation baselines, the serve breaker's degraded
+/// mode, debugging). Per-loop fallback reasons are
 /// reported by [`CompiledQuery::batch_fallbacks`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum VectorizationPolicy {
     /// Vectorize when the operator chain and element types allow it.
     Auto,
-    /// Never vectorize; use the scalar/fused tiers only.
+    /// Never vectorize; every loop runs on the scalar tier.
     Off,
 }
 
 /// Which execution tier a compiled query's hot loops landed in.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EngineKind {
-    /// All loops run element-at-a-time (scalar or fused-scalar).
+    /// All loops run element-at-a-time as scalar bytecode.
     Scalar,
     /// At least one loop runs on the typed column-batch engine.
     Vectorized,
@@ -87,13 +88,15 @@ impl std::fmt::Display for EngineKind {
 }
 
 /// Tuning knobs for the optimization pipeline, used by the ablation
-/// benchmarks. The defaults are the full Steno configuration.
+/// benchmarks and the serve breaker's degraded mode. Three settings:
+/// QUIL lowering options, the batch tier's [`VectorizationPolicy`], and
+/// the algebraic rewrite pass. Every loop runs on one of two tiers, the
+/// batch tier or scalar bytecode. The defaults are the full Steno
+/// configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct StenoOptions {
     /// QUIL-level options (GroupByAggregate specialization, §4.3).
     pub lower: LowerOptions,
-    /// Whether the VM's loop-fusion tier runs.
-    pub fusion: bool,
     /// Whether the VM's batch-vectorization tier runs.
     pub vectorize: VectorizationPolicy,
     /// Whether the verified algebraic rewrite pass (`steno-opt`) runs
@@ -108,7 +111,6 @@ impl Default for StenoOptions {
     fn default() -> StenoOptions {
         StenoOptions {
             lower: LowerOptions::default(),
-            fusion: true,
             vectorize: VectorizationPolicy::Auto,
             rewrites: true,
         }
@@ -246,7 +248,6 @@ impl CompiledQuery {
             chain,
             udfs,
             start,
-            opts.fusion,
             opts.vectorize == VectorizationPolicy::Auto,
             rewrites,
             feedback.loop_stats,
@@ -260,24 +261,13 @@ impl CompiledQuery {
     ///
     /// Returns [`OptimizeError::Gen`] for internal failures.
     pub fn from_chain(chain: &QuilChain, udfs: &UdfRegistry) -> Result<CompiledQuery, OptimizeError> {
-        Self::finish_tuned(chain.clone(), udfs, Instant::now(), true, true)
-    }
-
-    fn finish_tuned(
-        chain: QuilChain,
-        udfs: &UdfRegistry,
-        start: Instant,
-        fusion: bool,
-        vectorize: bool,
-    ) -> Result<CompiledQuery, OptimizeError> {
-        Self::finish_feedback(chain, udfs, start, fusion, vectorize, Vec::new(), None)
+        Self::finish_feedback(chain.clone(), udfs, Instant::now(), true, Vec::new(), None)
     }
 
     fn finish_feedback(
         chain: QuilChain,
         udfs: &UdfRegistry,
         start: Instant,
-        fusion: bool,
         vectorize: bool,
         rewrites: Vec<RewriteEvent>,
         loop_stats: Option<LoopStats>,
@@ -286,7 +276,7 @@ impl CompiledQuery {
         let imp = generate(&chain).map_err(|e| OptimizeError::Gen(e.to_string()))?;
         let rust_source = render_rust(&imp);
         let tier_hint = loop_stats.map(|ls| choose_tier(&ls, crate::batch::BATCH));
-        let program = assemble_hinted(&imp, udfs, fusion, vectorize, tier_hint)
+        let program = assemble_hinted(&imp, udfs, vectorize, tier_hint)
             .map_err(|e| OptimizeError::Gen(e.to_string()))?;
         Ok(CompiledQuery {
             program,
@@ -434,11 +424,6 @@ impl CompiledQuery {
     /// The number of bytecode instructions.
     pub fn instr_count(&self) -> usize {
         self.program.len()
-    }
-
-    /// How many loops the fusion tier compiled to whole-loop kernels.
-    pub fn fused_loops(&self) -> u32 {
-        self.program.n_fused
     }
 
     /// How many loops the vectorization tier compiled to column-batch

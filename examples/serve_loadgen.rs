@@ -7,7 +7,9 @@
 //! latency, and the overload counters, and writes `BENCH_serve.json`.
 //!
 //! Run with `--smoke` for the CI mode: a short run that must finish
-//! well under 30 s, shed at least once, and contain every panic.
+//! well under 30 s, shed at least once, and contain every panic. Smoke
+//! runs write `target/BENCH_serve_smoke.json` instead, leaving the
+//! checked-in record untouched.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -176,8 +178,17 @@ fn main() {
         scrape2.lines().count()
     );
 
-    let out = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("BENCH_serve.json");
-    std::fs::write(&out, report.to_json()).expect("write BENCH_serve.json");
+    // Smoke runs write a scratch record so the checked-in saturation
+    // record is only ever replaced by a full run.
+    let root = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let out = if smoke {
+        let dir = root.join("target");
+        std::fs::create_dir_all(&dir).expect("create target/");
+        dir.join("BENCH_serve_smoke.json")
+    } else {
+        root.join("BENCH_serve.json")
+    };
+    std::fs::write(&out, report.to_json()).expect("write the saturation record");
     println!("wrote {}", out.display());
 
     // The contract this example doubles as a smoke test for: overload

@@ -3,14 +3,19 @@
 //! [`steno_vm::check_program`]. The mutation harness
 //! (`crates/steno-vm/tests/tape_mutation.rs`) proves the checker
 //! rejects miscompiles; this test proves it accepts correct compiles —
-//! across every tier (scalar, vectorized, fused), with and without the
+//! across both tiers (scalar, vectorized), with and without the
 //! rewrite pass, and on the feedback-directed compile path.
 
+use std::time::Duration;
+
 use steno_expr::{Column, DataContext, Expr, UdfRegistry};
+use steno_linq::interp;
+use steno_opt::LoopStats;
 use steno_query::typing::SourceTypes;
 use steno_query::{GroupResult, Query, QueryExpr};
+use steno_serve::{BreakerConfig, CompileBreaker};
 use steno_vm::query::{CompileFeedback, StenoOptions};
-use steno_vm::{CompiledQuery, VectorizationPolicy};
+use steno_vm::{CompiledQuery, LoopTier, VectorizationPolicy};
 
 fn x() -> Expr {
     Expr::var("x")
@@ -46,11 +51,6 @@ fn option_matrix() -> Vec<StenoOptions> {
         auto,
         StenoOptions {
             vectorize: VectorizationPolicy::Off,
-            ..auto
-        },
-        StenoOptions {
-            vectorize: VectorizationPolicy::Off,
-            fusion: false,
             ..auto
         },
         StenoOptions {
@@ -286,4 +286,79 @@ fn builder_corpus_has_zero_false_positives() {
         checked >= 3 * corpus.len(),
         "builder corpus must compile under most modes, checked {checked}"
     );
+}
+
+/// Every loop of the f64 Sum / SumSq / filtered-sum shapes lands on
+/// the batch or the scalar tier under the compile breaker's degraded
+/// options, the defaults, and a `PreferScalar` cost hint from small
+/// observed loop counts. Each program passes the tape verifier and
+/// agrees with the reference interpreter.
+#[test]
+fn f64_reductions_run_batch_or_scalar_in_every_mode() {
+    let data = ctx();
+    let udfs = UdfRegistry::new();
+    let breaker = CompileBreaker::new(BreakerConfig {
+        trip_threshold: 1,
+        cooldown: Duration::from_secs(3600),
+        ..BreakerConfig::default()
+    });
+    breaker.record_compile(Duration::ZERO, false);
+    let (degraded, is_degraded) = breaker.plan_options(&StenoOptions::default());
+    assert!(is_degraded, "a verifier rejection must trip the breaker");
+    assert_eq!(degraded.vectorize, VectorizationPolicy::Off);
+    let small = CompileFeedback {
+        sample_ctx: None,
+        loop_stats: Some(LoopStats {
+            elements: 10.0,
+            density: None,
+            ns_per_elem: None,
+        }),
+    };
+    let shapes = [
+        ("sum", Query::source("xs").sum().build()),
+        ("sumsq", Query::source("xs").select(x() * x(), "x").sum().build()),
+        (
+            "filtered_sum",
+            Query::source("xs")
+                .where_(x().gt(Expr::litf(0.5)), "x")
+                .select(x() * Expr::litf(2.0), "x")
+                .sum()
+                .build(),
+        ),
+    ];
+    for (label, q) in &shapes {
+        let expect = interp::execute(q, &data, &udfs).expect("reference run");
+        let modes = [
+            ("degraded", degraded, CompileFeedback::default()),
+            ("default", StenoOptions::default(), CompileFeedback::default()),
+            ("prefer_scalar", StenoOptions::default(), small),
+        ];
+        for (mode, opts, fb) in modes {
+            let c = CompiledQuery::compile_tuned_feedback(
+                q,
+                SourceTypes::from(&data),
+                &udfs,
+                opts,
+                fb,
+            )
+            .unwrap_or_else(|e| panic!("`{label}` ({mode}) failed to compile: {e}"));
+            assert!(!c.loop_plans().is_empty(), "`{label}` ({mode}) has no loop");
+            for plan in c.loop_plans() {
+                assert_ne!(plan.tier, LoopTier::Fused, "`{label}` ({mode}): {plan:?}");
+            }
+            if mode == "prefer_scalar" {
+                assert!(
+                    c.loop_plans().iter().all(|p| p.tier == LoopTier::Scalar),
+                    "`{label}`: the PreferScalar hint must pin the scalar tier"
+                );
+            }
+            steno_vm::check_program(c.program())
+                .unwrap_or_else(|e| panic!("`{label}` ({mode}) rejected: {e}"));
+            assert_eq!(
+                c.run(&data, &udfs).expect("run"),
+                expect,
+                "`{label}` ({mode}) disagrees with the reference interpreter"
+            );
+        }
+    }
 }
