@@ -27,6 +27,11 @@
 //! break the build. Element counts stay at full scale — shrinking them
 //! makes the streaming workloads cache-resident, which speeds `hand`
 //! up ~2x and skews the normalization against every CPU-bound engine.
+//!
+//! Every workload also reports its observer effect: the min-of-samples
+//! ns/elem of `run_profiled` against `run` on the vectorized plan. Both
+//! execute the same kernels, so `--smoke` fails the process if any
+//! profiled run costs more than [`OBSERVER_LIMIT`] times the plain run.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
@@ -44,6 +49,10 @@ const SMOKE_SAMPLES: usize = 5;
 /// Allowed hand-normalized ratio vs the checked-in baseline before the
 /// smoke gate fails.
 const SMOKE_TOLERANCE: f64 = 1.25;
+
+/// Largest profiled/plain ns-per-elem ratio the smoke gate accepts.
+const OBSERVER_LIMIT: f64 = 1.5;
+const OBSERVER_SAMPLES: usize = 15;
 
 static SMOKE: AtomicBool = AtomicBool::new(false);
 
@@ -110,8 +119,37 @@ fn report(workload: &str, n: usize, rows: Vec<Row>, records: &mut Vec<BenchRecor
     }
 }
 
+/// A workload's observer effect: its name and the profiled/plain
+/// ns-per-elem ratio of its vectorized plan.
+type Observed = (&'static str, f64);
+
+/// Prints the min-of-samples ns/elem of plain and profiled runs of
+/// `plan`, sampled alternately so a noisy phase of the machine hits both
+/// alike.
+fn observe(
+    workload: &'static str,
+    n: usize,
+    plan: &CompiledQuery,
+    ctx: &DataContext,
+    udfs: &UdfRegistry,
+) -> Observed {
+    let (mut run, mut profiled) = (Duration::MAX, Duration::MAX);
+    for _ in 0..OBSERVER_SAMPLES {
+        run = run.min(best_time(1, || plan.run(ctx, udfs).expect("run")));
+        profiled = profiled.min(best_time(1, || plan.run_profiled(ctx, udfs).expect("run")));
+    }
+    let ratio = profiled.as_secs_f64() / run.as_secs_f64();
+    println!(
+        "      observer  run {:.3} ns/elem, run_profiled {:.3} ns/elem ({ratio:.2}x, min of {})",
+        run.as_nanos() as f64 / n as f64,
+        profiled.as_nanos() as f64 / n as f64,
+        OBSERVER_SAMPLES
+    );
+    (workload, ratio)
+}
+
 /// Sum of squares of 10^6 doubles — the acceptance workload.
-fn sum_of_squares(records: &mut Vec<BenchRecord>) {
+fn sum_of_squares(records: &mut Vec<BenchRecord>, observed: &mut Vec<Observed>) {
     let n = scaled(1_000_000);
     let data = uniform_doubles(n, 42);
     let ctx = DataContext::new().with_source("xs", data.clone());
@@ -160,11 +198,12 @@ fn sum_of_squares(records: &mut Vec<BenchRecord>) {
         },
     ];
     report("sum_of_squares", n, rows, records);
+    observed.push(observe("sum_of_squares", n, &vectorized, &ctx, &udfs));
 }
 
 /// Filtered sum: `xs.Where(x > 0.5).Select(x * 2).Sum()` — exercises the
 /// selection-vector path.
-fn filtered_sum(records: &mut Vec<BenchRecord>) {
+fn filtered_sum(records: &mut Vec<BenchRecord>, observed: &mut Vec<Observed>) {
     let n = scaled(1_000_000);
     let data = uniform_doubles(n, 7);
     let ctx = DataContext::new().with_source("xs", data.clone());
@@ -219,11 +258,12 @@ fn filtered_sum(records: &mut Vec<BenchRecord>) {
         },
     ];
     report("filtered_sum", n, rows, records);
+    observed.push(observe("filtered_sum", n, &vectorized, &ctx, &udfs));
 }
 
 /// Integer pipeline: sum of squares of the multiples of 3 — the i64
 /// lanes plus a filter.
-fn int_even_squares(records: &mut Vec<BenchRecord>) {
+fn int_even_squares(records: &mut Vec<BenchRecord>, observed: &mut Vec<Observed>) {
     let n = scaled(1_000_000);
     let data: Vec<i64> = (0..n as i64).collect();
     let ctx = DataContext::new().with_source("ns", data.clone());
@@ -271,6 +311,7 @@ fn int_even_squares(records: &mut Vec<BenchRecord>) {
         },
     ];
     report("int_mult3_sumsq", n, rows, records);
+    observed.push(observe("int_mult3_sumsq", n, &vectorized, &ctx, &udfs));
 }
 
 /// Guarded division under a conditional: the Collatz step
@@ -279,7 +320,7 @@ fn int_even_squares(records: &mut Vec<BenchRecord>) {
 /// conditional branch"), so its batch-tier time *was* the vm_scalar
 /// row; the interval proof that both divisors exclude zero drops the
 /// per-lane guards and admits it to the batch tier.
-fn guarded_div_collatz(records: &mut Vec<BenchRecord>) {
+fn guarded_div_collatz(records: &mut Vec<BenchRecord>, observed: &mut Vec<Observed>) {
     let n = scaled(1_000_000);
     let data: Vec<i64> = (1..=n as i64).collect();
     let ctx = DataContext::new().with_source("ns", data.clone());
@@ -343,6 +384,7 @@ fn guarded_div_collatz(records: &mut Vec<BenchRecord>) {
         },
     ];
     report("guarded_div_collatz", n, rows, records);
+    observed.push(observe("guarded_div_collatz", n, &vectorized, &ctx, &udfs));
 }
 
 /// One observed run of the acceptance workload through the facade with
@@ -376,14 +418,16 @@ fn profiled_acceptance_run() {
     println!("wrote metrics snapshot to {path}");
 }
 
-/// Runs all four workloads and returns their records.
-fn measure() -> Vec<BenchRecord> {
+/// Runs all four workloads and returns their records and observer
+/// effects.
+fn measure() -> (Vec<BenchRecord>, Vec<Observed>) {
     let mut records = Vec::new();
-    sum_of_squares(&mut records);
-    filtered_sum(&mut records);
-    int_even_squares(&mut records);
-    guarded_div_collatz(&mut records);
-    records
+    let mut observed = Vec::new();
+    sum_of_squares(&mut records, &mut observed);
+    filtered_sum(&mut records, &mut observed);
+    int_even_squares(&mut records, &mut observed);
+    guarded_div_collatz(&mut records, &mut observed);
+    (records, observed)
 }
 
 fn main() {
@@ -403,7 +447,7 @@ fn main() {
         }
     }
     println!("Vectorized-vs-scalar VM ablation (BENCH_vm.json producer)");
-    let records = measure();
+    let (records, observed) = measure();
     profiled_acceptance_run();
 
     let path = std::env::var("BENCH_VM_JSON").unwrap_or_else(|_| "BENCH_vm.json".to_string());
@@ -429,6 +473,13 @@ fn main() {
     println!("sum_of_squares: vectorized is {speedup:.2}x the scalar VM");
 
     if smoke {
+        let over: Vec<&Observed> = observed.iter().filter(|o| o.1 > OBSERVER_LIMIT).collect();
+        for (workload, ratio) in &over {
+            eprintln!("observer gate: {workload} profiled {ratio:.2}x run > {OBSERVER_LIMIT}x");
+        }
+        if !over.is_empty() {
+            std::process::exit(1);
+        }
         // Contention on a shared runner comes in multi-minute phases, so
         // a failing gate backs off and re-measures (up to twice), gating
         // on the per-row floor across all attempts. A floor only ever
@@ -446,7 +497,7 @@ fn main() {
                         attempt + 2
                     );
                     std::thread::sleep(Duration::from_secs(60));
-                    let retry = measure();
+                    let (retry, _) = measure();
                     for r in &mut merged {
                         if let Some(t) = retry
                             .iter()

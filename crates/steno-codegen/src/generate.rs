@@ -72,7 +72,11 @@ enum State {
 
 struct Gen {
     blocks: Vec<Vec<Stmt>>,
-    stack: Vec<Ptrs>,
+    /// The pointers statements are inserted at: the top of the
+    /// automaton's stack.
+    cur: Ptrs,
+    /// The rest of the stack: enclosing loops' pointers, innermost last.
+    saved: Vec<Ptrs>,
     elem_n: usize,
     agg_n: usize,
     sink_n: usize,
@@ -88,10 +92,6 @@ impl Gen {
 
     fn push_stmt(&mut self, at: BlockId, stmt: Stmt) {
         self.blocks[at.0].push(stmt);
-    }
-
-    fn ptrs(&self) -> Ptrs {
-        *self.stack.last().expect("insertion-pointer stack empty")
     }
 
     fn fresh_elem(&mut self) -> String {
@@ -118,9 +118,9 @@ impl Gen {
         name
     }
 
-    /// Emits a new loop at `at`, pushing fresh insertion pointers (the Src
-    /// transition, Fig. 9). Returns the element variable.
-    fn emit_loop(&mut self, at: BlockId, header: LoopHeader) -> String {
+    /// Emits a new loop at `at` (the Src transition, Fig. 9). Returns the
+    /// element variable and the loop's fresh insertion pointers.
+    fn emit_loop(&mut self, at: BlockId, header: LoopHeader) -> (String, Ptrs) {
         let alpha = self.new_block();
         let mu = self.new_block();
         let omega = self.new_block();
@@ -135,8 +135,7 @@ impl Gen {
             },
         );
         self.push_stmt(at, Stmt::BlockRef(omega));
-        self.stack.push(Ptrs { alpha, mu, omega });
-        elem_var
+        (elem_var, Ptrs { alpha, mu, omega })
     }
 
     fn src_header(&mut self, src: &SrcDesc) -> LoopHeader {
@@ -177,16 +176,15 @@ impl Gen {
                 elem_ty,
                 post,
             } => {
-                let omega = self.ptrs().omega;
-                // The new loop replaces the current pointers.
-                self.stack.pop();
-                let raw_elem = self.emit_loop(
-                    omega,
+                let (raw_elem, ptrs) = self.emit_loop(
+                    self.cur.omega,
                     LoopHeader::Sink {
                         name: sink,
                         elem_ty: elem_ty.clone(),
                     },
                 );
+                // The new loop replaces the current pointers.
+                self.cur = ptrs;
                 let elem = match post {
                     SinkPost::None => raw_elem,
                     SinkPost::GroupAgg {
@@ -198,7 +196,7 @@ impl Gen {
                         out_ty,
                     } => {
                         // elem = result(key, finish(acc)) over the raw pair.
-                        let mu = self.ptrs().mu;
+                        let mu = self.cur.mu;
                         let acc_expr = Expr::var(raw_elem.clone()).field(1);
                         let finished = match finish {
                             None => acc_expr,
@@ -240,7 +238,7 @@ impl Gen {
                 ..
             } => {
                 // Fig. 6(a): var elem_{i+1} = f(elem_i);
-                let mu = self.ptrs().mu;
+                let mu = self.cur.mu;
                 let next = self.fresh_elem();
                 self.push_stmt(
                     mu,
@@ -273,7 +271,7 @@ impl Gen {
                 ..
             } => {
                 // Fig. 6(b): if (!f(elem_i)) continue;
-                let mu = self.ptrs().mu;
+                let mu = self.cur.mu;
                 self.push_stmt(
                     mu,
                     Stmt::IfNotContinue {
@@ -294,7 +292,7 @@ impl Gen {
                 let State::Iterating { elem: flag } = nested_state else {
                     unreachable!()
                 };
-                let mu = self.ptrs().mu;
+                let mu = self.cur.mu;
                 self.push_stmt(
                     mu,
                     Stmt::IfNotContinue {
@@ -310,7 +308,7 @@ impl Gen {
                 // Counter-guarded predicate. A `break` would be incorrect
                 // after a nested splice (it would only exit the inner
                 // loop), so Take filters instead of exiting early.
-                let Ptrs { alpha, mu, .. } = self.ptrs();
+                let Ptrs { alpha, mu, .. } = self.cur;
                 let cnt = self.fresh_ctrl("taken");
                 self.push_stmt(
                     alpha,
@@ -339,7 +337,7 @@ impl Gen {
                 kind: PredKind::Skip(n),
                 ..
             } => {
-                let Ptrs { alpha, mu, .. } = self.ptrs();
+                let Ptrs { alpha, mu, .. } = self.cur;
                 let cnt = self.fresh_ctrl("skipped");
                 self.push_stmt(
                     alpha,
@@ -370,7 +368,7 @@ impl Gen {
                 kind: PredKind::TakeWhile(p),
                 ..
             } => {
-                let Ptrs { alpha, mu, .. } = self.ptrs();
+                let Ptrs { alpha, mu, .. } = self.cur;
                 let taking = self.fresh_ctrl("taking");
                 self.push_stmt(
                     alpha,
@@ -403,7 +401,7 @@ impl Gen {
                 kind: PredKind::SkipWhile(p),
                 ..
             } => {
-                let Ptrs { alpha, mu, .. } = self.ptrs();
+                let Ptrs { alpha, mu, .. } = self.cur;
                 let skipping = self.fresh_ctrl("skipping");
                 self.push_stmt(
                     alpha,
@@ -429,7 +427,7 @@ impl Gen {
                 Ok(State::Iterating { elem })
             }
             QuilOp::Sink(sink_op) => {
-                let Ptrs { alpha, mu, omega } = self.ptrs();
+                let Ptrs { alpha, mu, omega } = self.cur;
                 let sink = self.fresh_sink();
                 let bind = |e: &Expr| subst(e, &sink_op.param, &Expr::var(elem.clone()));
                 match &sink_op.kind {
@@ -591,7 +589,7 @@ impl Gen {
         let State::Iterating { elem } = state.clone() else {
             unreachable!()
         };
-        let Ptrs { alpha, mu, .. } = self.ptrs();
+        let Ptrs { alpha, mu, .. } = self.cur;
         let var = self.fresh_agg();
         self.push_stmt(
             alpha,
@@ -626,9 +624,9 @@ impl Gen {
         wrap: Option<(String, Expr)>,
         out_ty: &Ty,
     ) -> Result<State, GenError> {
-        let mu_outer = self.ptrs().mu;
         let header = self.src_header(&chain.src);
-        let elem = self.emit_loop(mu_outer, header);
+        let (elem, ptrs) = self.emit_loop(self.cur.mu, header);
+        self.saved.push(std::mem::replace(&mut self.cur, ptrs));
         let mut state = State::Iterating { elem };
         for op in &chain.ops {
             state = self.gen_op(op, state)?;
@@ -637,7 +635,7 @@ impl Gen {
             Some(agg) => {
                 // AGGREGATING nested Ret (Fig. 10).
                 let (acc_var, _) = self.emit_agg(agg, state)?;
-                let omega_nested = self.ptrs().omega;
+                let omega_nested = self.cur.omega;
                 let finished = match &agg.finish {
                     None => Expr::var(acc_var),
                     Some(f) => subst(f, &agg.acc_param, &Expr::var(acc_var)),
@@ -655,7 +653,10 @@ impl Gen {
                         init: value,
                     },
                 );
-                self.stack.pop();
+                self.cur = self
+                    .saved
+                    .pop()
+                    .ok_or_else(|| GenError("pointer stack underflow (outer)".into()))?;
                 Ok(State::Iterating { elem: next })
             }
             None => {
@@ -671,19 +672,15 @@ impl Gen {
                         "a result wrapper requires a scalar nested query".into(),
                     ));
                 }
-                let inner = self
-                    .stack
-                    .pop()
-                    .ok_or_else(|| GenError("pointer stack underflow (inner)".into()))?;
                 let outer = self
-                    .stack
+                    .saved
                     .pop()
                     .ok_or_else(|| GenError("pointer stack underflow (outer)".into()))?;
-                self.stack.push(Ptrs {
+                self.cur = Ptrs {
                     alpha: outer.alpha,
-                    mu: inner.mu,
+                    mu: self.cur.mu,
                     omega: outer.omega,
-                });
+                };
                 Ok(State::Iterating { elem })
             }
         }
@@ -697,18 +694,25 @@ impl Gen {
 /// Returns [`GenError`] only for internal invariant violations; chains
 /// produced by `steno_quil::lower` always generate successfully.
 pub fn generate(chain: &QuilChain) -> Result<ImpProgram, GenError> {
+    let root = BlockId(0);
     let mut g = Gen {
-        blocks: Vec::new(),
-        stack: Vec::new(),
+        blocks: vec![Vec::new()],
+        // Replaced by the outermost loop's pointers below.
+        cur: Ptrs {
+            alpha: root,
+            mu: root,
+            omega: root,
+        },
+        saved: Vec::new(),
         elem_n: 0,
         agg_n: 0,
         sink_n: 0,
         ctrl_n: 0,
         sources: Vec::new(),
     };
-    let root = g.new_block();
     let header = g.src_header(&chain.src);
-    let elem = g.emit_loop(root, header);
+    let (elem, ptrs) = g.emit_loop(root, header);
+    g.cur = ptrs;
     let mut state = State::Iterating { elem };
     for op in &chain.ops {
         state = g.gen_op(op, state)?;
@@ -717,7 +721,7 @@ pub fn generate(chain: &QuilChain) -> Result<ImpProgram, GenError> {
         Some(agg) => {
             // Fig. 8(a): return the (finished) aggregate at ω.
             let (acc_var, _) = g.emit_agg(agg, state)?;
-            let omega = g.ptrs().omega;
+            let omega = g.cur.omega;
             let value = match &agg.finish {
                 None => Expr::var(acc_var),
                 Some(f) => subst(f, &agg.acc_param, &Expr::var(acc_var)),
@@ -732,7 +736,7 @@ pub fn generate(chain: &QuilChain) -> Result<ImpProgram, GenError> {
             let State::Iterating { elem } = state else {
                 unreachable!()
             };
-            let mu = g.ptrs().mu;
+            let mu = g.cur.mu;
             g.push_stmt(
                 mu,
                 Stmt::Yield {

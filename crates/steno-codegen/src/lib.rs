@@ -17,6 +17,11 @@
 //! bytecode and the [`printer`] renders as human-readable Rust source (the
 //! same code the `steno!` proc macro emits at compile time).
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod generate;
 pub mod imp;
 pub mod printer;

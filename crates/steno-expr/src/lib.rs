@@ -29,6 +29,11 @@
 //! assert_eq!(eval(&e, &env, &udfs).unwrap(), Value::F64(10.0));
 //! ```
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod data;
 pub mod error;
 pub mod eval;

@@ -872,7 +872,8 @@ fn run_attempt(
                 // The adaptive entry: profiled sampling and bounded
                 // drift-triggered re-optimization (a no-op unless the
                 // engine was built `with_adaptive`). A live tracer
-                // forces the profiled run, so per-loop spans record.
+                // forces the profiled run, so per-loop spans record;
+                // it executes the same kernels as the untraced run.
                 shared.engine.run_compiled_traced(
                     &job.query,
                     &job.ctx,
@@ -883,14 +884,9 @@ fn run_attempt(
                     tracer,
                     parent,
                 )
-            } else if tracer.enabled() {
-                exec.compiled
-                    .run_traced(&job.ctx, &job.udfs, interrupt, tracer, parent)
-                    .map(|(value, _prof)| value)
-                    .map_err(StenoError::Vm)
             } else {
                 exec.compiled
-                    .run_with(&job.ctx, &job.udfs, interrupt)
+                    .run_observed(&job.ctx, &job.udfs, interrupt, tracer, parent)
                     .map_err(StenoError::Vm)
             };
             result.map_err(|e| match e {

@@ -400,9 +400,10 @@ pub struct BatchProgram {
     /// Per-batch operations, in statement order.
     pub tape: Vec<BOp>,
     /// Whole-tape fused kernel, when [`crate::fuse_kernels::plan`]
-    /// recognized the loop. The tape is kept alongside it: profiled runs
-    /// and differential tests execute the kernel sequence, plain runs
-    /// take the fused single-pass loop.
+    /// recognized the loop; every run, profiled or not, takes it. The
+    /// tape is kept alongside it for the tape verifier and for
+    /// differential tests, which strip `fused` to run the kernel
+    /// sequence.
     pub fused: Option<crate::fuse_kernels::FusedTape>,
     /// Pre-optimization reference tape for translation validation, or
     /// `None` for hand-assembled programs.
@@ -451,8 +452,8 @@ impl BatchData<'_> {
 /// written back to registers by the caller); `f_params`/`i_params` are
 /// loop-invariant snapshots; `out` receives yielded elements in order.
 /// When `prof` is set, per-chunk batch counts and selection-vector
-/// density are accumulated into it (the `None` path stays untouched by
-/// profiling).
+/// density are accumulated into it, on the fused kernel and the tape
+/// alike; the `None` path pays one `Option` check per chunk.
 ///
 /// # Errors
 ///
@@ -473,15 +474,12 @@ pub fn run_batch(
     mut prof: Option<&mut crate::profile::QueryProfile>,
     interrupt: &crate::interrupt::Interrupt,
 ) -> Result<(), VmError> {
-    // Whole-tape fused kernels bypass the column banks entirely.
-    // Profiled runs take the tape so batch/selection statistics (and the
-    // differential tests built on them) still observe the kernel path.
-    if prof.is_none() {
-        if let Some(ft) = &bp.fused {
-            return crate::fuse_kernels::run_fused(
-                ft, data, f_accs, i_accs, f_params, i_params, interrupt,
-            );
-        }
+    // Whole-tape fused kernels bypass the column banks entirely; they
+    // keep the same batch/selection counters as the tape below.
+    if let Some(ft) = &bp.fused {
+        return crate::fuse_kernels::run_fused(
+            ft, data, f_accs, i_accs, f_params, i_params, prof, interrupt,
+        );
     }
     let mut f_bank: Vec<[f64; BATCH]> = vec![[0.0; BATCH]; bp.n_f as usize];
     let mut i_bank: Vec<[i64; BATCH]> = vec![[0; BATCH]; bp.n_i as usize];
@@ -817,9 +815,7 @@ pub fn run_batch(
             }
         }
         if let Some(p) = prof.as_deref_mut() {
-            p.batches += 1;
-            p.batch_elements_in += len as u64;
-            p.batch_elements_selected += if dense { len } else { sel.len() } as u64;
+            p.count_batch(len, if dense { len } else { sel.len() });
         }
         start += len;
     }

@@ -111,8 +111,8 @@ pub fn run_program_with(
 /// As [`run_program`], additionally filling a [`QueryProfile`] with
 /// per-operator element counts and wall time. This is a separate
 /// monomorphization of the same dispatch loop, so [`run_program`]
-/// compiles every profiling branch out and pays nothing for the
-/// feature's existence.
+/// compiles every scalar profiling branch out; vectorized loops run the
+/// same kernels either way.
 ///
 /// # Errors
 ///
@@ -121,31 +121,17 @@ pub fn run_program_profiled(
     p: &Program,
     bindings: &Bindings,
 ) -> Result<(Value, QueryProfile), VmError> {
-    run_program_profiled_with(p, bindings, &Interrupt::none())
+    run_program_traced(p, bindings, &Interrupt::none(), &Tracer::disabled(), None)
 }
 
 /// As [`run_program_profiled`], polling `interrupt` like
-/// [`run_program_with`] — the entry point for adaptive execution under a
-/// deadline, where the engine wants run facts *and* bounded abort.
-///
-/// # Errors
-///
-/// As [`run_program_with`].
-pub fn run_program_profiled_with(
-    p: &Program,
-    bindings: &Bindings,
-    interrupt: &Interrupt,
-) -> Result<(Value, QueryProfile), VmError> {
-    run_program_traced(p, bindings, interrupt, &Tracer::disabled(), None)
-}
-
-/// As [`run_program_profiled_with`], additionally recording a `vm.run`
+/// [`run_program_with`] and additionally recording a `vm.run`
 /// root span plus one `vm.loop` span per `BatchLoop` instruction into
 /// `tracer` (annotated with tier, element counts, and selection
 /// density). Loop spans open *before* the interrupt check at loop
 /// entry, so a query aborted by a deadline still records the loop it
-/// died in. With a disabled tracer this is exactly
-/// [`run_program_profiled_with`].
+/// died in. With a disabled tracer and an inert interrupt this is
+/// exactly [`run_program_profiled`].
 ///
 /// # Errors
 ///

@@ -44,11 +44,14 @@
 //!
 //! Fused kernels poll the [`Interrupt`] once per [`BATCH`] elements —
 //! the same cooperative-cancellation granularity as the unfused tape
-//! (the POLL_STRIDE contract from the service layer).
+//! (the POLL_STRIDE contract from the service layer). On profiled runs
+//! they count the same per-batch [`QueryProfile`] counters as the tape,
+//! so plain, profiled and traced runs all execute the fused loop.
 
 use crate::batch::{BInit, BOp, BatchData, BatchProgram, Lane, BATCH};
 use crate::exec::VmError;
 use crate::interrupt::Interrupt;
+use crate::profile::QueryProfile;
 
 // ---------------------------------------------------------------------
 // Fused-shape descriptors.
@@ -697,6 +700,16 @@ fn sel_rdl(mask: EB, t: EI, e: EI) -> EI {
 // Fused execution.
 // ---------------------------------------------------------------------
 
+/// What a fused pass answers to between chunks: the interrupt it polls
+/// and, on profiled runs, the profile it counts batches into — the same
+/// `batches` / `batch_elements_in` / `batch_elements_selected` counters
+/// the kernel tape keeps, so a profiled run observes the loop that
+/// production runs.
+struct Watch<'a> {
+    interrupt: &'a Interrupt,
+    prof: Option<&'a mut QueryProfile>,
+}
+
 /// One fused pass of `if pred(x) { *acc += map(x) }`, polling the
 /// interrupt once per [`BATCH`] elements. Each call site monomorphizes
 /// `pred` and `map` fully.
@@ -711,20 +724,27 @@ fn sel_rdl(mask: EB, t: EI, e: EI) -> EI {
 /// hand-written filtered sum compiles to. Evaluating `map`
 /// unconditionally is sound because fused maps are total (no trapping
 /// op survives [`plan`]).
+///
+/// Profiled runs count the kept lanes in a second pass over the chunk,
+/// still in L1: counting inside the summing pass makes LLVM branch on
+/// the compare, which costs ~8x on unpredictable data.
 #[inline]
 fn loop_f(
     xs: &[f64],
     acc: &mut f64,
-    interrupt: &Interrupt,
+    mut w: Watch<'_>,
     pred: impl Fn(f64) -> bool,
     map: impl Fn(f64) -> f64,
 ) -> Result<(), VmError> {
     let mut a = *acc;
     for chunk in xs.chunks(BATCH) {
-        interrupt.check()?;
+        w.interrupt.check()?;
         for &x in chunk {
             let v = map(x);
             a += if pred(x) { v } else { -0.0 };
+        }
+        if let Some(prof) = w.prof.as_deref_mut() {
+            prof.count_batch(chunk.len(), chunk.iter().filter(|&&x| pred(x)).count());
         }
     }
     *acc = a;
@@ -733,20 +753,37 @@ fn loop_f(
 
 /// The i64 twin of [`loop_f`] (wrapping accumulation; the masked
 /// identity is plain `0`, which is exact for wrapping addition).
+/// Profiled runs count the kept lanes in the summing pass: the integer
+/// select stays branch-free, and a second pass would recompute
+/// remainder guards.
 #[inline]
 fn loop_i(
     xs: &[i64],
     acc: &mut i64,
-    interrupt: &Interrupt,
+    mut w: Watch<'_>,
     pred: impl Fn(i64) -> bool,
     map: impl Fn(i64) -> i64,
 ) -> Result<(), VmError> {
     let mut a = *acc;
     for chunk in xs.chunks(BATCH) {
-        interrupt.check()?;
-        for &x in chunk {
-            let v = map(x);
-            a = a.wrapping_add(if pred(x) { v } else { 0 });
+        w.interrupt.check()?;
+        match w.prof.as_deref_mut() {
+            None => {
+                for &x in chunk {
+                    let v = map(x);
+                    a = a.wrapping_add(if pred(x) { v } else { 0 });
+                }
+            }
+            Some(prof) => {
+                let mut kept = 0;
+                for &x in chunk {
+                    let v = map(x);
+                    let keep = pred(x);
+                    kept += usize::from(keep);
+                    a = a.wrapping_add(if keep { v } else { 0 });
+                }
+                prof.count_batch(chunk.len(), kept);
+            }
         }
     }
     *acc = a;
@@ -755,26 +792,43 @@ fn loop_i(
 
 /// One fused min/max pass. Folds live lanes only, with the accumulator
 /// as the **left** operand of `fold` — exactly the order and operator
-/// ([`f64::min`]/[`f64::max`]) of the [`crate::kernels::fold`] sequence
-/// it replaces, so results stay bit-identical (including NaN
-/// propagation). Masked lanes skip the fold entirely rather than
-/// folding an identity: min/max have no universally exact identity
-/// element the way `-0.0` is for addition.
+/// ([`f64::min`]/[`f64::max`], [`i64::min`]/[`i64::max`]) of the
+/// [`crate::kernels::fold`] sequence it replaces, so results stay
+/// bit-identical (including NaN propagation). Masked lanes skip the fold
+/// entirely rather than folding an identity: min/max have no
+/// universally exact identity element the way `-0.0` is for addition.
+/// Profiled runs count the kept lanes in the folding pass, as
+/// [`loop_i`] does.
 #[inline]
-fn fold_f(
-    xs: &[f64],
-    acc: &mut f64,
-    interrupt: &Interrupt,
-    pred: impl Fn(f64) -> bool,
-    map: impl Fn(f64) -> f64,
-    fold: impl Fn(f64, f64) -> f64,
+fn fold_live<T: Copy>(
+    xs: &[T],
+    acc: &mut T,
+    mut w: Watch<'_>,
+    pred: impl Fn(T) -> bool,
+    map: impl Fn(T) -> T,
+    fold: impl Fn(T, T) -> T,
 ) -> Result<(), VmError> {
     let mut a = *acc;
     for chunk in xs.chunks(BATCH) {
-        interrupt.check()?;
-        for &x in chunk {
-            if pred(x) {
-                a = fold(a, map(x));
+        w.interrupt.check()?;
+        match w.prof.as_deref_mut() {
+            None => {
+                for &x in chunk {
+                    if pred(x) {
+                        a = fold(a, map(x));
+                    }
+                }
+            }
+            Some(prof) => {
+                let mut kept = 0;
+                for &x in chunk {
+                    let keep = pred(x);
+                    kept += usize::from(keep);
+                    if keep {
+                        a = fold(a, map(x));
+                    }
+                }
+                prof.count_batch(chunk.len(), kept);
             }
         }
     }
@@ -782,92 +836,158 @@ fn fold_f(
     Ok(())
 }
 
-/// The i64 twin of [`fold_f`].
-#[inline]
-fn fold_i(
-    xs: &[i64],
-    acc: &mut i64,
-    interrupt: &Interrupt,
-    pred: impl Fn(i64) -> bool,
-    map: impl Fn(i64) -> i64,
-    fold: impl Fn(i64, i64) -> i64,
-) -> Result<(), VmError> {
-    let mut a = *acc;
-    for chunk in xs.chunks(BATCH) {
-        interrupt.check()?;
-        for &x in chunk {
-            if pred(x) {
-                a = fold(a, map(x));
+/// Expands `$body` once per comparison guard, with `$p` bound to the
+/// monomorphized predicate `x OP c` (every lane when the guard is
+/// `None`).
+macro_rules! with_cmp {
+    ($pred:expr, $t:ty, |$p:ident| $body:expr) => {
+        match $pred {
+            None => {
+                let $p = |_: $t| true;
+                $body
+            }
+            Some((CmpK::Eq, c)) => {
+                let $p = move |x: $t| x == c;
+                $body
+            }
+            Some((CmpK::Ne, c)) => {
+                let $p = move |x: $t| x != c;
+                $body
+            }
+            Some((CmpK::Lt, c)) => {
+                let $p = move |x: $t| x < c;
+                $body
+            }
+            Some((CmpK::Le, c)) => {
+                let $p = move |x: $t| x <= c;
+                $body
+            }
+            Some((CmpK::Gt, c)) => {
+                let $p = move |x: $t| x > c;
+                $body
+            }
+            Some((CmpK::Ge, c)) => {
+                let $p = move |x: $t| x >= c;
+                $body
             }
         }
-    }
-    *acc = a;
-    Ok(())
+    };
 }
 
-macro_rules! dispatch_pred_f {
-    ($pred:expr, $xs:expr, $acc:expr, $intr:expr, $map:expr) => {{
-        let map = $map;
-        match $pred {
-            None => loop_f($xs, $acc, $intr, |_| true, map),
-            Some((CmpK::Eq, c)) => loop_f($xs, $acc, $intr, move |x| x == c, map),
-            Some((CmpK::Ne, c)) => loop_f($xs, $acc, $intr, move |x| x != c, map),
-            Some((CmpK::Lt, c)) => loop_f($xs, $acc, $intr, move |x| x < c, map),
-            Some((CmpK::Le, c)) => loop_f($xs, $acc, $intr, move |x| x <= c, map),
-            Some((CmpK::Gt, c)) => loop_f($xs, $acc, $intr, move |x| x > c, map),
-            Some((CmpK::Ge, c)) => loop_f($xs, $acc, $intr, move |x| x >= c, map),
-        }
-    }};
-}
-
-macro_rules! dispatch_fold_f {
-    ($pred:expr, $xs:expr, $acc:expr, $intr:expr, $map:expr, $fold:expr) => {{
-        let map = $map;
-        let fold = $fold;
-        match $pred {
-            None => fold_f($xs, $acc, $intr, |_| true, map, fold),
-            Some((CmpK::Eq, c)) => fold_f($xs, $acc, $intr, move |x| x == c, map, fold),
-            Some((CmpK::Ne, c)) => fold_f($xs, $acc, $intr, move |x| x != c, map, fold),
-            Some((CmpK::Lt, c)) => fold_f($xs, $acc, $intr, move |x| x < c, map, fold),
-            Some((CmpK::Le, c)) => fold_f($xs, $acc, $intr, move |x| x <= c, map, fold),
-            Some((CmpK::Gt, c)) => fold_f($xs, $acc, $intr, move |x| x > c, map, fold),
-            Some((CmpK::Ge, c)) => fold_f($xs, $acc, $intr, move |x| x >= c, map, fold),
-        }
-    }};
-}
-
-/// Dispatches a recognized i64 remainder guard, value-specializing
-/// small literal moduli so LLVM strength-reduces the division (the
-/// difference between a magic-multiply and a 20+-cycle hardware divide
-/// per lane).
-macro_rules! rem_pred_i {
-    ($m:expr, $r:expr, $ne:expr, $xs:expr, $acc:expr, $intr:expr, $map:expr) => {{
-        let map = $map;
+/// Expands `$body` for the remainder guard `x % $m ==/!= $r`, with
+/// `$p` bound to the monomorphized predicate.
+macro_rules! with_rem {
+    ($m:expr, $r:expr, $ne:expr, |$p:ident| $body:expr) => {{
         let r = $r;
-        match ($m, $ne) {
-            (2, false) => loop_i($xs, $acc, $intr, move |x| x.wrapping_rem(2) == r, map),
-            (2, true) => loop_i($xs, $acc, $intr, move |x| x.wrapping_rem(2) != r, map),
-            (3, false) => loop_i($xs, $acc, $intr, move |x| x.wrapping_rem(3) == r, map),
-            (3, true) => loop_i($xs, $acc, $intr, move |x| x.wrapping_rem(3) != r, map),
-            (4, false) => loop_i($xs, $acc, $intr, move |x| x.wrapping_rem(4) == r, map),
-            (4, true) => loop_i($xs, $acc, $intr, move |x| x.wrapping_rem(4) != r, map),
-            (5, false) => loop_i($xs, $acc, $intr, move |x| x.wrapping_rem(5) == r, map),
-            (5, true) => loop_i($xs, $acc, $intr, move |x| x.wrapping_rem(5) != r, map),
-            (m, false) => loop_i($xs, $acc, $intr, move |x| x.wrapping_rem(m) == r, map),
-            (m, true) => loop_i($xs, $acc, $intr, move |x| x.wrapping_rem(m) != r, map),
+        if $ne {
+            let $p = move |x: i64| x.wrapping_rem($m) != r;
+            $body
+        } else {
+            let $p = move |x: i64| x.wrapping_rem($m) == r;
+            $body
         }
     }};
+}
+
+/// Expands `$body` once per i64 guard, with `$p` bound to the
+/// monomorphized predicate. Remainder guards value-specialize small
+/// literal moduli so LLVM strength-reduces the division (the difference
+/// between a magic-multiply and a 20+-cycle hardware divide per lane).
+macro_rules! with_pred_i {
+    ($pred:expr, $params:expr, |$p:ident| $body:expr) => {
+        match *$pred {
+            None => with_cmp!(None::<(CmpK, i64)>, i64, |$p| $body),
+            Some(PredI::Cmp(op, c)) => with_cmp!(Some((op, c.get($params))), i64, |$p| $body),
+            Some(PredI::RemCmp { m, r, ne }) => {
+                let r = r.get($params);
+                match m.get($params) {
+                    2 => with_rem!(2, r, ne, |$p| $body),
+                    3 => with_rem!(3, r, ne, |$p| $body),
+                    4 => with_rem!(4, r, ne, |$p| $body),
+                    5 => with_rem!(5, r, ne, |$p| $body),
+                    m => with_rem!(m, r, ne, |$p| $body),
+                }
+            }
+        }
+    };
+}
+
+/// Expands `$body` once per f64 map, with `$m` bound to the
+/// monomorphized map.
+macro_rules! with_map_f {
+    ($map:expr, $params:expr, |$m:ident| $body:expr) => {
+        match $map {
+            MapF::X => {
+                let $m = |x: f64| x;
+                $body
+            }
+            MapF::Sq => {
+                let $m = |x: f64| x * x;
+                $body
+            }
+            MapF::MulKR(k) => {
+                let k = k.get($params);
+                let $m = move |x: f64| x * k;
+                $body
+            }
+            MapF::MulKL(k) => {
+                let k = k.get($params);
+                let $m = move |x: f64| k * x;
+                $body
+            }
+            MapF::K(k) => {
+                let k = k.get($params);
+                let $m = move |_: f64| k;
+                $body
+            }
+        }
+    };
+}
+
+/// The i64 twin of [`with_map_f`] (wrapping arithmetic).
+macro_rules! with_map_i {
+    ($map:expr, $params:expr, |$m:ident| $body:expr) => {
+        match $map {
+            MapI::X => {
+                let $m = |x: i64| x;
+                $body
+            }
+            MapI::Sq => {
+                let $m = |x: i64| x.wrapping_mul(x);
+                $body
+            }
+            MapI::MulK(k) => {
+                let k = k.get($params);
+                let $m = move |x: i64| x.wrapping_mul(k);
+                $body
+            }
+            MapI::Lin(a, b) => {
+                let (a, b) = (a.get($params), b.get($params));
+                let $m = move |x: i64| a.wrapping_mul(x).wrapping_add(b);
+                $body
+            }
+            MapI::K(k) => {
+                let k = k.get($params);
+                let $m = move |_: i64| k;
+                $body
+            }
+        }
+    };
 }
 
 /// Executes a fused kernel over the source column.
 ///
 /// Accumulator and parameter snapshots have the same layout as
 /// [`crate::batch::run_batch`]; the caller writes accumulators back.
+/// When `prof` is set, each [`BATCH`]-element chunk counts as one batch
+/// whose selected elements are the lanes the predicate kept, exactly
+/// as the kernel tape counts them.
 ///
 /// # Errors
 ///
 /// [`VmError::Cancelled`] / [`VmError::DeadlineExceeded`] from the
 /// per-batch interrupt poll. Fused shapes contain no trapping ops.
+#[allow(clippy::too_many_arguments)]
 pub fn run_fused(
     ft: &FusedTape,
     data: BatchData<'_>,
@@ -875,51 +995,23 @@ pub fn run_fused(
     i_accs: &mut [i64],
     f_params: &[f64],
     i_params: &[i64],
+    prof: Option<&mut QueryProfile>,
     interrupt: &Interrupt,
 ) -> Result<(), VmError> {
+    let w = Watch { interrupt, prof };
     match (ft, data) {
         (FusedTape::SumF { pred, map, acc }, BatchData::F(xs)) => {
             let acc = &mut f_accs[*acc as usize];
             let pred = pred.map(|(op, c)| (op, c.get(f_params)));
-            match *map {
-                MapF::X => dispatch_pred_f!(pred, xs, acc, interrupt, |x| x),
-                MapF::Sq => dispatch_pred_f!(pred, xs, acc, interrupt, |x| x * x),
-                MapF::MulKR(k) => {
-                    let k = k.get(f_params);
-                    dispatch_pred_f!(pred, xs, acc, interrupt, move |x| x * k)
-                }
-                MapF::MulKL(k) => {
-                    let k = k.get(f_params);
-                    dispatch_pred_f!(pred, xs, acc, interrupt, move |x| k * x)
-                }
-                MapF::K(k) => {
-                    let k = k.get(f_params);
-                    dispatch_pred_f!(pred, xs, acc, interrupt, move |_| k)
-                }
-            }
+            with_map_f!(*map, f_params, |map| {
+                with_cmp!(pred, f64, |p| loop_f(xs, acc, w, p, map))
+            })
         }
         (FusedTape::SumI { pred, map, acc }, BatchData::I(xs)) => {
             let acc = &mut i_accs[*acc as usize];
-            match *map {
-                MapI::X => sum_i(pred, i_params, xs, acc, interrupt, |x| x),
-                MapI::Sq => sum_i(pred, i_params, xs, acc, interrupt, |x| x.wrapping_mul(x)),
-                MapI::MulK(k) => {
-                    let k = k.get(i_params);
-                    sum_i(pred, i_params, xs, acc, interrupt, move |x| {
-                        x.wrapping_mul(k)
-                    })
-                }
-                MapI::Lin(a, b) => {
-                    let (a, b) = (a.get(i_params), b.get(i_params));
-                    sum_i(pred, i_params, xs, acc, interrupt, move |x| {
-                        a.wrapping_mul(x).wrapping_add(b)
-                    })
-                }
-                MapI::K(k) => {
-                    let k = k.get(i_params);
-                    sum_i(pred, i_params, xs, acc, interrupt, move |_| k)
-                }
-            }
+            with_map_i!(*map, i_params, |map| {
+                with_pred_i!(pred, i_params, |p| loop_i(xs, acc, w, p, map))
+            })
         }
         (
             FusedTape::SelRemDivLinI {
@@ -938,28 +1030,28 @@ pub fn run_fused(
             // pairs; the fallback keeps the fusion win (no column
             // traffic) with runtime divides.
             match (*m, *d) {
-                (2, 2) => loop_i(xs, acc, interrupt, |_| true, move |x| {
+                (2, 2) => loop_i(xs, acc, w, |_| true, move |x| {
                     if x.wrapping_rem(2) == r {
                         x.wrapping_div(2)
                     } else {
                         a.wrapping_mul(x).wrapping_add(b)
                     }
                 }),
-                (2, 4) => loop_i(xs, acc, interrupt, |_| true, move |x| {
+                (2, 4) => loop_i(xs, acc, w, |_| true, move |x| {
                     if x.wrapping_rem(2) == r {
                         x.wrapping_div(4)
                     } else {
                         a.wrapping_mul(x).wrapping_add(b)
                     }
                 }),
-                (3, 3) => loop_i(xs, acc, interrupt, |_| true, move |x| {
+                (3, 3) => loop_i(xs, acc, w, |_| true, move |x| {
                     if x.wrapping_rem(3) == r {
                         x.wrapping_div(3)
                     } else {
                         a.wrapping_mul(x).wrapping_add(b)
                     }
                 }),
-                (m, d) => loop_i(xs, acc, interrupt, |_| true, move |x| {
+                (m, d) => loop_i(xs, acc, w, |_| true, move |x| {
                     if x.wrapping_rem(m) == r {
                         x.wrapping_div(d)
                     } else {
@@ -971,173 +1063,26 @@ pub fn run_fused(
         (FusedTape::FoldF { kind, pred, map, acc }, BatchData::F(xs)) => {
             let acc = &mut f_accs[*acc as usize];
             let pred = pred.map(|(op, c)| (op, c.get(f_params)));
-            match kind {
-                FoldKind::Min => run_fold_f(pred, *map, xs, acc, f_params, interrupt, f64::min),
-                FoldKind::Max => run_fold_f(pred, *map, xs, acc, f_params, interrupt, f64::max),
-            }
+            with_map_f!(*map, f_params, |map| {
+                with_cmp!(pred, f64, |p| match kind {
+                    FoldKind::Min => fold_live(xs, acc, w, p, map, f64::min),
+                    FoldKind::Max => fold_live(xs, acc, w, p, map, f64::max),
+                })
+            })
         }
         (FusedTape::FoldI { kind, pred, map, acc }, BatchData::I(xs)) => {
             let acc = &mut i_accs[*acc as usize];
-            match kind {
-                FoldKind::Min => {
-                    run_fold_i(pred, *map, xs, acc, i_params, interrupt, |a: i64, x| a.min(x))
-                }
-                FoldKind::Max => {
-                    run_fold_i(pred, *map, xs, acc, i_params, interrupt, |a: i64, x| a.max(x))
-                }
-            }
+            with_map_i!(*map, i_params, |map| {
+                with_pred_i!(pred, i_params, |p| match kind {
+                    FoldKind::Min => fold_live(xs, acc, w, p, map, i64::min),
+                    FoldKind::Max => fold_live(xs, acc, w, p, map, i64::max),
+                })
+            })
         }
         // A lane mismatch here would mean the compiler attached a fused
         // plan to the wrong source; fall back to doing nothing is wrong,
         // so surface it as a shape error.
         _ => Err(VmError::Shape("fused kernel lane mismatch".into())),
-    }
-}
-
-/// Monomorphizes a fused f64 fold over its map, then its predicate.
-#[inline]
-fn run_fold_f(
-    pred: Option<(CmpK, f64)>,
-    map: MapF,
-    xs: &[f64],
-    acc: &mut f64,
-    f_params: &[f64],
-    interrupt: &Interrupt,
-    fold: impl Fn(f64, f64) -> f64 + Copy,
-) -> Result<(), VmError> {
-    match map {
-        MapF::X => dispatch_fold_f!(pred, xs, acc, interrupt, |x| x, fold),
-        MapF::Sq => dispatch_fold_f!(pred, xs, acc, interrupt, |x| x * x, fold),
-        MapF::MulKR(k) => {
-            let k = k.get(f_params);
-            dispatch_fold_f!(pred, xs, acc, interrupt, move |x| x * k, fold)
-        }
-        MapF::MulKL(k) => {
-            let k = k.get(f_params);
-            dispatch_fold_f!(pred, xs, acc, interrupt, move |x| k * x, fold)
-        }
-        MapF::K(k) => {
-            let k = k.get(f_params);
-            dispatch_fold_f!(pred, xs, acc, interrupt, move |_| k, fold)
-        }
-    }
-}
-
-/// Monomorphizes a fused i64 fold over its map, then its predicate.
-#[inline]
-fn run_fold_i(
-    pred: &Option<PredI>,
-    map: MapI,
-    xs: &[i64],
-    acc: &mut i64,
-    i_params: &[i64],
-    interrupt: &Interrupt,
-    fold: impl Fn(i64, i64) -> i64 + Copy,
-) -> Result<(), VmError> {
-    match map {
-        MapI::X => fold_i_pred(pred, i_params, xs, acc, interrupt, |x| x, fold),
-        MapI::Sq => fold_i_pred(
-            pred,
-            i_params,
-            xs,
-            acc,
-            interrupt,
-            |x| x.wrapping_mul(x),
-            fold,
-        ),
-        MapI::MulK(k) => {
-            let k = k.get(i_params);
-            fold_i_pred(
-                pred,
-                i_params,
-                xs,
-                acc,
-                interrupt,
-                move |x| x.wrapping_mul(k),
-                fold,
-            )
-        }
-        MapI::Lin(a, b) => {
-            let (a, b) = (a.get(i_params), b.get(i_params));
-            fold_i_pred(
-                pred,
-                i_params,
-                xs,
-                acc,
-                interrupt,
-                move |x| a.wrapping_mul(x).wrapping_add(b),
-                fold,
-            )
-        }
-        MapI::K(k) => {
-            let k = k.get(i_params);
-            fold_i_pred(pred, i_params, xs, acc, interrupt, move |_| k, fold)
-        }
-    }
-}
-
-/// Dispatches an i64 predicate around a monomorphized fold.
-#[inline]
-fn fold_i_pred(
-    pred: &Option<PredI>,
-    i_params: &[i64],
-    xs: &[i64],
-    acc: &mut i64,
-    interrupt: &Interrupt,
-    map: impl Fn(i64) -> i64 + Copy,
-    fold: impl Fn(i64, i64) -> i64 + Copy,
-) -> Result<(), VmError> {
-    match *pred {
-        None => fold_i(xs, acc, interrupt, |_| true, map, fold),
-        Some(PredI::Cmp(op, c)) => {
-            let c = c.get(i_params);
-            match op {
-                CmpK::Eq => fold_i(xs, acc, interrupt, move |x| x == c, map, fold),
-                CmpK::Ne => fold_i(xs, acc, interrupt, move |x| x != c, map, fold),
-                CmpK::Lt => fold_i(xs, acc, interrupt, move |x| x < c, map, fold),
-                CmpK::Le => fold_i(xs, acc, interrupt, move |x| x <= c, map, fold),
-                CmpK::Gt => fold_i(xs, acc, interrupt, move |x| x > c, map, fold),
-                CmpK::Ge => fold_i(xs, acc, interrupt, move |x| x >= c, map, fold),
-            }
-        }
-        Some(PredI::RemCmp { m, r, ne }) => {
-            let (m, r) = (m.get(i_params), r.get(i_params));
-            if ne {
-                fold_i(xs, acc, interrupt, move |x| x.wrapping_rem(m) != r, map, fold)
-            } else {
-                fold_i(xs, acc, interrupt, move |x| x.wrapping_rem(m) == r, map, fold)
-            }
-        }
-    }
-}
-
-/// Dispatches an i64 predicate around a monomorphized map.
-#[inline]
-fn sum_i(
-    pred: &Option<PredI>,
-    i_params: &[i64],
-    xs: &[i64],
-    acc: &mut i64,
-    interrupt: &Interrupt,
-    map: impl Fn(i64) -> i64 + Copy,
-) -> Result<(), VmError> {
-    match *pred {
-        None => loop_i(xs, acc, interrupt, |_| true, map),
-        Some(PredI::Cmp(op, c)) => {
-            let c = c.get(i_params);
-            match op {
-                CmpK::Eq => loop_i(xs, acc, interrupt, move |x| x == c, map),
-                CmpK::Ne => loop_i(xs, acc, interrupt, move |x| x != c, map),
-                CmpK::Lt => loop_i(xs, acc, interrupt, move |x| x < c, map),
-                CmpK::Le => loop_i(xs, acc, interrupt, move |x| x <= c, map),
-                CmpK::Gt => loop_i(xs, acc, interrupt, move |x| x > c, map),
-                CmpK::Ge => loop_i(xs, acc, interrupt, move |x| x >= c, map),
-            }
-        }
-        Some(PredI::RemCmp { m, r, ne }) => {
-            let (m, r) = (m.get(i_params), r.get(i_params));
-            rem_pred_i!(m, r, ne, xs, acc, interrupt, map)
-        }
     }
 }
 

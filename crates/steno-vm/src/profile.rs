@@ -6,8 +6,10 @@
 //! the vectorized tier's selection vectors stayed, and whether the
 //! query text hit the [`crate::query::QueryCache`]. Collection is
 //! opt-in: the profiled interpreter is a separate monomorphization
-//! (`run_impl::<true>` in [`crate::exec`]), so the default path
-//! compiles every counter out and pays nothing.
+//! (`run_impl::<true>` in [`crate::exec`]), so the default scalar path
+//! compiles every counter out. The vectorized tier runs the same
+//! kernels either way and pays one `Option` check per 1024-element
+//! batch for its counters.
 
 use std::time::Duration;
 
@@ -45,6 +47,14 @@ pub struct QueryProfile {
 }
 
 impl QueryProfile {
+    /// Counts one vectorized batch of `len` elements, `selected` of which
+    /// survived its predicates.
+    pub(crate) fn count_batch(&mut self, len: usize, selected: usize) {
+        self.batches += 1;
+        self.batch_elements_in += len as u64;
+        self.batch_elements_selected += selected as u64;
+    }
+
     /// Fraction of batch elements surviving predicate evaluation, in
     /// `[0, 1]`; `None` when the vectorized tier did not run.
     pub fn selection_density(&self) -> Option<f64> {

@@ -333,7 +333,8 @@ impl CompiledQuery {
 
     /// As [`CompiledQuery::run`], additionally returning a
     /// [`crate::profile::QueryProfile`] of where elements and time went.
-    /// Runs the profiled monomorphization of the interpreter; use
+    /// Runs the profiled monomorphization of the interpreter over the
+    /// same kernels [`CompiledQuery::run`] executes; use
     /// [`CompiledQuery::run`] when the counters are not needed.
     ///
     /// # Errors
@@ -348,27 +349,12 @@ impl CompiledQuery {
         crate::exec::run_program_profiled(&self.program, &bindings)
     }
 
-    /// As [`CompiledQuery::run_profiled`] with cooperative interruption
-    /// (see [`CompiledQuery::run_with`]) — profiled adaptive execution
-    /// under a deadline.
-    ///
-    /// # Errors
-    ///
-    /// As [`CompiledQuery::run_with`].
-    pub fn run_profiled_with(
-        &self,
-        ctx: &DataContext,
-        udfs: &UdfRegistry,
-        interrupt: &Interrupt,
-    ) -> Result<(Value, crate::profile::QueryProfile), VmError> {
-        let bindings = Bindings::resolve(&self.program, ctx, udfs)?;
-        crate::exec::run_program_profiled_with(&self.program, &bindings, interrupt)
-    }
-
-    /// As [`CompiledQuery::run_profiled_with`], additionally recording
+    /// As [`CompiledQuery::run_profiled`], polling `interrupt` like
+    /// [`CompiledQuery::run_with`] and additionally recording
     /// `vm.run`/`vm.loop` spans into `tracer` (see
-    /// [`crate::exec::run_program_traced`]). With a disabled tracer this
-    /// is exactly [`CompiledQuery::run_profiled_with`].
+    /// [`crate::exec::run_program_traced`]). This is the profiled entry
+    /// the adaptive sampler uses; with a disabled tracer and an inert
+    /// interrupt it is exactly [`CompiledQuery::run_profiled`].
     ///
     /// # Errors
     ///
@@ -383,6 +369,31 @@ impl CompiledQuery {
     ) -> Result<(Value, crate::profile::QueryProfile), VmError> {
         let bindings = Bindings::resolve(&self.program, ctx, udfs)?;
         crate::exec::run_program_traced(&self.program, &bindings, interrupt, tracer, parent)
+    }
+
+    /// Runs the plan under `interrupt`, recording `vm.run`/`vm.loop`
+    /// spans into `tracer` when it is live ([`CompiledQuery::run_traced`],
+    /// profile discarded); with a disabled tracer this is exactly
+    /// [`CompiledQuery::run_with`]. Both execute the same kernels. The
+    /// non-adaptive entry of the engine and of the serving layer.
+    ///
+    /// # Errors
+    ///
+    /// As [`CompiledQuery::run_with`].
+    pub fn run_observed(
+        &self,
+        ctx: &DataContext,
+        udfs: &UdfRegistry,
+        interrupt: &Interrupt,
+        tracer: &steno_obs::Tracer,
+        parent: Option<steno_obs::SpanId>,
+    ) -> Result<Value, VmError> {
+        if tracer.enabled() {
+            self.run_traced(ctx, udfs, interrupt, tracer, parent)
+                .map(|(value, _)| value)
+        } else {
+            self.run_with(ctx, udfs, interrupt)
+        }
     }
 
     /// The measured per-loop observations this plan was compiled

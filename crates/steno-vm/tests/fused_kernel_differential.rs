@@ -3,11 +3,16 @@
 //! Every pre-monomorphized fused shape in `steno_vm::fuse_kernels` runs
 //! three ways and must agree bit-for-bit:
 //!
-//! * the fused single-pass loop (`run`, the default path when the
-//!   planner recognized the tape),
-//! * the unfused kernel sequence (`run_profiled` — profiled executions
-//!   keep taking the tape precisely so this comparison stays alive),
+//! * the fused single-pass loop (`run`, the path every run takes when
+//!   the planner recognized the tape),
+//! * the unfused kernel sequence: the same compiled program with every
+//!   `fused` kernel stripped ([`strip_fused`]), so each batch loop runs
+//!   its tape,
 //! * the scalar interpreter tier (`VectorizationPolicy::Off`).
+//!
+//! Profiled and traced runs execute the fused kernels too, so they must
+//! report the same batch and selection counters as the stripped tape's
+//! profiled run (counter parity).
 //!
 //! Sizes straddle the batch boundary (1023/1024/1025) so the remainder
 //! chunk, the exact-batch case, and the chunk-crossing case all run.
@@ -15,11 +20,19 @@
 //! raises, and a deadline test proves fused loops still poll the
 //! interrupt at batch boundaries.
 
+use std::sync::Arc;
+
 use steno_expr::{Column, DataContext, Expr, UdfRegistry};
 use steno_linq::interp;
+use steno_obs::{FlightRecorder, Note, TraceConfig};
 use steno_query::{Query, QueryExpr};
+use steno_vm::batch::BatchProgram;
+use steno_vm::prepared::Bindings;
 use steno_vm::query::StenoOptions;
-use steno_vm::{CompiledQuery, Interrupt, VectorizationPolicy, VmError};
+use steno_vm::{
+    run_program_profiled, run_program_with, CompiledQuery, Instr, Interrupt, Program, QueryProfile,
+    VectorizationPolicy, VmError,
+};
 
 const SIZES: [usize; 3] = [1023, 1024, 1025];
 
@@ -34,19 +47,100 @@ fn scalar_opts() -> StenoOptions {
     }
 }
 
+/// `p` with `edit` applied to a copy of every batch loop.
+fn edit_batch_loops(p: &Program, edit: impl Fn(&mut BatchProgram)) -> Program {
+    let mut p = p.clone();
+    for instr in &mut p.instrs {
+        if let Instr::BatchLoop(bp) = instr {
+            let mut copy = (**bp).clone();
+            edit(&mut copy);
+            *bp = Arc::new(copy);
+        }
+    }
+    p
+}
+
+/// `p` with every whole-tape fused kernel stripped, so each batch loop
+/// runs its unfused kernel sequence: the tape reference.
+fn strip_fused(p: &Program) -> Program {
+    edit_batch_loops(p, |bp| bp.fused = None)
+}
+
+/// The batch counters a profiled run must agree on, whichever loop ran.
+fn batch_counters(p: &QueryProfile) -> [u64; 5] {
+    [
+        p.batch_loops,
+        p.batches,
+        p.batch_elements_in,
+        p.batch_elements_selected,
+        p.out_elements,
+    ]
+}
+
+/// Counter parity: `run_profiled` and `run_traced` under a live tracer
+/// execute the fused kernel and must report the stripped tape's value
+/// and batch counters exactly; the traced `vm.loop` span carries the
+/// same batch count. A profiled run of the program with every kernel
+/// tape emptied must agree too, which only the fused kernel can do.
+#[track_caller]
+fn check_counter_parity(q: &QueryExpr, compiled: &CompiledQuery, c: &DataContext, u: &UdfRegistry) {
+    let tape = strip_fused(compiled.program());
+    let bindings = Bindings::resolve(&tape, c, u).expect("resolve tape");
+    let (tape_v, tape_prof) = run_program_profiled(&tape, &bindings).expect("tape profiled run");
+    let (prof_v, prof) = compiled.run_profiled(c, u).expect("profiled run");
+    let recorder = FlightRecorder::new(TraceConfig::default());
+    let tracer = recorder.begin();
+    let (traced_v, traced) = compiled
+        .run_traced(c, u, &Interrupt::none(), &tracer, None)
+        .expect("traced run");
+    assert_eq!(tape_v.key(), prof_v.key(), "tape vs profiled value for {q}");
+    assert_eq!(tape_v.key(), traced_v.key(), "tape vs traced value for {q}");
+    let expected = batch_counters(&tape_prof);
+    assert_eq!(expected, batch_counters(&prof), "profiled counters for {q}");
+    assert_eq!(expected, batch_counters(&traced), "traced counters for {q}");
+    let (spans, _) = tracer.drain();
+    let lspan = spans
+        .iter()
+        .find(|s| s.name == "vm.loop")
+        .unwrap_or_else(|| panic!("no vm.loop span for {q}"));
+    assert_eq!(
+        lspan.note("batches"),
+        Some(&Note::U64(tape_prof.batches)),
+        "vm.loop batches note for {q}"
+    );
+    let fused_only = edit_batch_loops(compiled.program(), |bp| {
+        bp.prologue.clear();
+        bp.tape.clear();
+    });
+    let (fused_v, fused_prof) =
+        run_program_profiled(&fused_only, &bindings).expect("fused-only profiled run");
+    assert_eq!(
+        tape_v.key(),
+        fused_v.key(),
+        "fused-only profiled value for {q}"
+    );
+    assert_eq!(
+        expected,
+        batch_counters(&fused_prof),
+        "fused-only counters for {q}"
+    );
+}
+
 /// Compiles `q` with the default options, asserts the planner attached
 /// (or refused) a whole-tape fused kernel, and checks the fused loop,
 /// the kernel sequence, and the scalar tier agree bit-for-bit with the
-/// interpreter.
+/// interpreter; fused shapes also get [`check_counter_parity`].
 #[track_caller]
 fn check_shape(q: &QueryExpr, c: &DataContext, expect_fused: Option<&str>) {
     let u = UdfRegistry::new();
     let compiled =
         CompiledQuery::compile(q, c.into(), &u).unwrap_or_else(|e| panic!("compile {q}: {e}"));
+    // Whole-tape labels read `sum(…)`/`min(…)`/`max(…)`; peephole pairs
+    // read `muladd:f64` and the like.
     let whole_tape: Vec<&String> = compiled
         .fused_kernels()
         .iter()
-        .filter(|k| k.contains("sum("))
+        .filter(|k| k.contains('('))
         .collect();
     match expect_fused {
         Some(label) => assert_eq!(
@@ -65,11 +159,25 @@ fn check_shape(q: &QueryExpr, c: &DataContext, expect_fused: Option<&str>) {
 
     let expected = interp::execute(q, c, &u).expect("interpreter failed");
     let fused_v = compiled.run(c, &u).expect("fused run failed");
-    let (tape_v, _) = compiled.run_profiled(c, &u).expect("tape run failed");
+    let tape_v = run_tape(&compiled, c, &u).expect("tape run failed");
     let scalar_v = scalar.run(c, &u).expect("scalar run failed");
     assert_eq!(expected.key(), fused_v.key(), "interp vs fused for {q}");
     assert_eq!(fused_v.key(), tape_v.key(), "fused vs kernel tape for {q}");
     assert_eq!(fused_v.key(), scalar_v.key(), "fused vs scalar for {q}");
+    if expect_fused.is_some() {
+        check_counter_parity(q, &compiled, c, &u);
+    }
+}
+
+/// Runs `compiled` on its unfused kernel tape.
+fn run_tape(
+    compiled: &CompiledQuery,
+    c: &DataContext,
+    u: &UdfRegistry,
+) -> Result<steno_expr::Value, VmError> {
+    let tape = strip_fused(compiled.program());
+    let bindings = Bindings::resolve(&tape, c, u)?;
+    run_program_with(&tape, &bindings, &Interrupt::none())
 }
 
 fn f64_ctx(n: usize) -> DataContext {
@@ -206,6 +314,34 @@ fn i64_shapes_across_batch_boundary() {
                 Some(&format!("filter(x%{m}!=0)·sum(x):i64")),
             );
         }
+    }
+}
+
+/// Min/max folds over live lanes, unguarded and guarded, on both lanes.
+#[test]
+fn fold_shapes_across_batch_boundary() {
+    for &n in &SIZES {
+        let c = f64_ctx(n);
+        check_shape(&Query::source("xs").max().build(), &c, Some("max(x):f64"));
+        check_shape(
+            &Query::source("xs")
+                .where_(x().gt(Expr::litf(0.5)), "x")
+                .select(x() * x(), "x")
+                .min()
+                .build(),
+            &c,
+            Some("filter(x>0.5)·min(x*x):f64"),
+        );
+        let c = i64_ctx(n);
+        check_shape(&Query::source("ns").min().build(), &c, Some("min(x):i64"));
+        check_shape(
+            &Query::source("ns")
+                .where_((x() % Expr::liti(2)).ne(Expr::liti(0)), "x")
+                .max()
+                .build(),
+            &c,
+            Some("filter(x%2!=0)·max(x):i64"),
+        );
     }
 }
 

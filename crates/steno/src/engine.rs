@@ -373,59 +373,28 @@ impl Steno {
         ctx: &DataContext,
         udfs: &UdfRegistry,
     ) -> Result<(Value, ExecutionPath), StenoError> {
-        match self.compile_metered(q, SourceTypes::from(ctx), udfs) {
-            Ok((compiled, _hit)) => {
-                let span = steno_obs::Span::start(self.collector.as_ref(), "steno.exec_ns");
-                let result = if self.adaptive {
-                    self.run_adaptive(q, ctx, udfs, &compiled)
-                } else {
-                    compiled.run(ctx, udfs).map_err(StenoError::Vm)
-                };
-                drop(span);
-                self.collector.add("steno.query.executed", 1);
-                result.map(|v| (v, ExecutionPath::Optimized))
-            }
-            Err(StenoError::Optimize(OptimizeError::Lower(
-                steno_quil::LowerError::Unsupported(_),
-            ))) => {
-                // The paper's behaviour: shapes Steno does not optimize
-                // run through the stock iterator implementation.
-                self.collector.add("steno.query.fallback", 1);
-                let _span = steno_obs::Span::start(self.collector.as_ref(), "steno.exec_ns");
-                interp::execute(q, ctx, udfs)
-                    .map(|v| (v, ExecutionPath::Fallback))
-                    .map_err(StenoError::Eval)
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    /// The adaptive arm of [`Steno::execute_traced`]: runs the plan
-    /// (profiled on the sampling cadence — the first
-    /// [`ADAPTIVE_WARMUP`] runs and every [`ADAPTIVE_PERIOD`]-th run
-    /// after), folds the observed facts into the cached plan's decayed
-    /// statistics, and on drift recompiles with the measured feedback
-    /// and swaps the cached plan. The query's own result is never at
-    /// stake: re-optimization happens after the value is computed, and
-    /// a failed or verifier-rejected recompile only counts a metric and
-    /// leaves the current plan installed.
-    fn run_adaptive(
-        &self,
-        q: &QueryExpr,
-        ctx: &DataContext,
-        udfs: &UdfRegistry,
-        compiled: &CompiledQuery,
-    ) -> Result<Value, StenoError> {
-        self.run_compiled_adaptive(q, ctx, udfs, compiled, &Interrupt::none(), self.options)
+        self.execute_with_interrupt_traced(
+            q,
+            ctx,
+            udfs,
+            &Interrupt::none(),
+            &Tracer::disabled(),
+            None,
+        )
     }
 
     /// Runs an already-compiled plan under `interrupt`, applying the
     /// engine's adaptive sampling and drift-triggered re-optimization
-    /// when [`Steno::with_adaptive`] is on. `opts` must be the options
-    /// the plan was compiled under — the cache keys its statistics and
-    /// any re-optimized replacement on them. This is the entry a
-    /// serving layer uses to run plans it compiled itself (e.g. under a
-    /// degraded policy) while still feeding the profile→plan loop.
+    /// when [`Steno::with_adaptive`] is on: the first `ADAPTIVE_WARMUP`
+    /// runs and every `ADAPTIVE_PERIOD`-th run after are profiled. The
+    /// query's own result is never at stake:
+    /// re-optimization happens after the value is computed, and a failed
+    /// or rejected recompile leaves the current plan installed. `opts`
+    /// must be the options the plan was compiled under — the cache keys
+    /// its statistics and any re-optimized replacement on them. This is
+    /// the entry a serving layer uses to run plans it compiled itself
+    /// (e.g. under a degraded policy) while still feeding the
+    /// profile→plan loop.
     ///
     /// # Errors
     ///
@@ -449,7 +418,9 @@ impl Steno {
     /// triggers a drift recompilation. A live tracer forces the profiled
     /// interpreter (the spans *are* the measurement), so traced runs
     /// always feed the plan's decayed statistics; with a disabled tracer
-    /// the adaptive sampling cadence is unchanged.
+    /// the adaptive sampling cadence is unchanged. Profiled, traced and
+    /// plain runs execute the same kernels, so the sampled statistics
+    /// measure the code the unsampled runs take.
     ///
     /// # Errors
     ///
@@ -467,13 +438,9 @@ impl Steno {
         parent: Option<SpanId>,
     ) -> Result<Value, StenoError> {
         if !self.adaptive {
-            if tracer.enabled() {
-                let (value, _) = compiled
-                    .run_traced(ctx, udfs, interrupt, tracer, parent)
-                    .map_err(StenoError::Vm)?;
-                return Ok(value);
-            }
-            return compiled.run_with(ctx, udfs, interrupt).map_err(StenoError::Vm);
+            return compiled
+                .run_observed(ctx, udfs, interrupt, tracer, parent)
+                .map_err(StenoError::Vm);
         }
         let runs = self.cache.begin_run(q, opts);
         let sample = runs < ADAPTIVE_WARMUP || runs.is_multiple_of(ADAPTIVE_PERIOD);
@@ -572,45 +539,7 @@ impl Steno {
         udfs: &UdfRegistry,
         interrupt: &Interrupt,
     ) -> Result<(Value, ExecutionPath), StenoError> {
-        match self.compile_metered(q, SourceTypes::from(ctx), udfs) {
-            Ok((compiled, _hit)) => {
-                let span = steno_obs::Span::start(self.collector.as_ref(), "steno.exec_ns");
-                let result =
-                    self.run_compiled_adaptive(q, ctx, udfs, &compiled, interrupt, self.options);
-                drop(span);
-                self.collector.add("steno.query.executed", 1);
-                result.map(|v| (v, ExecutionPath::Optimized))
-            }
-            Err(StenoError::Optimize(OptimizeError::Lower(
-                steno_quil::LowerError::Unsupported(_),
-            ))) => {
-                self.collector.add("steno.query.fallback", 1);
-                let _span = steno_obs::Span::start(self.collector.as_ref(), "steno.exec_ns");
-                let probe: interp::StopProbe = {
-                    let interrupt = interrupt.clone();
-                    Arc::new(move || match interrupt.check() {
-                        Ok(()) => None,
-                        Err(VmError::DeadlineExceeded) => Some(interp::Stop::Deadline),
-                        Err(_) => Some(interp::Stop::Cancelled),
-                    })
-                };
-                interp::execute_interruptible(q, ctx, udfs, probe)
-                    .map(|v| (v, ExecutionPath::Fallback))
-                    .map_err(|e| match e {
-                        // Interruptions surface uniformly as VM errors,
-                        // matching the optimized path, so callers handle
-                        // one shape.
-                        EvalError::Interrupted { deadline: true } => {
-                            StenoError::Vm(VmError::DeadlineExceeded)
-                        }
-                        EvalError::Interrupted { deadline: false } => {
-                            StenoError::Vm(VmError::Cancelled)
-                        }
-                        other => StenoError::Eval(other),
-                    })
-            }
-            Err(e) => Err(e),
-        }
+        self.execute_with_interrupt_traced(q, ctx, udfs, interrupt, &Tracer::disabled(), None)
     }
 
     /// As [`Steno::execute_with_interrupt`], recording the full engine
@@ -663,25 +592,7 @@ impl Steno {
                 self.collector.add("steno.query.fallback", 1);
                 let _span = steno_obs::Span::start(self.collector.as_ref(), "steno.exec_ns");
                 let _fspan = tracer.span("engine.fallback_exec", parent);
-                let probe: interp::StopProbe = {
-                    let interrupt = interrupt.clone();
-                    Arc::new(move || match interrupt.check() {
-                        Ok(()) => None,
-                        Err(VmError::DeadlineExceeded) => Some(interp::Stop::Deadline),
-                        Err(_) => Some(interp::Stop::Cancelled),
-                    })
-                };
-                interp::execute_interruptible(q, ctx, udfs, probe)
-                    .map(|v| (v, ExecutionPath::Fallback))
-                    .map_err(|e| match e {
-                        EvalError::Interrupted { deadline: true } => {
-                            StenoError::Vm(VmError::DeadlineExceeded)
-                        }
-                        EvalError::Interrupted { deadline: false } => {
-                            StenoError::Vm(VmError::Cancelled)
-                        }
-                        other => StenoError::Eval(other),
-                    })
+                run_fallback(q, ctx, udfs, interrupt).map(|v| (v, ExecutionPath::Fallback))
             }
             Err(e) => Err(e),
         }
@@ -723,7 +634,7 @@ impl Steno {
             ))) => {
                 self.collector.add("steno.query.fallback", 1);
                 let start = std::time::Instant::now();
-                let value = interp::execute(q, ctx, udfs).map_err(StenoError::Eval)?;
+                let value = run_fallback(q, ctx, udfs, &Interrupt::none())?;
                 let prof = QueryProfile {
                     wall: start.elapsed(),
                     ..QueryProfile::default()
@@ -980,6 +891,35 @@ impl Steno {
         }
         result
     }
+}
+
+/// Runs `q` on the stock iterator implementation — the paper's behaviour
+/// for shapes Steno does not optimize. An inert interrupt takes the
+/// plain interpreter; a live one is polled per stride of elements, and
+/// its interruptions surface as the VM's errors, matching the optimized
+/// path, so callers handle one shape.
+fn run_fallback(
+    q: &QueryExpr,
+    ctx: &DataContext,
+    udfs: &UdfRegistry,
+    interrupt: &Interrupt,
+) -> Result<Value, StenoError> {
+    if interrupt.is_inert() {
+        return interp::execute(q, ctx, udfs).map_err(StenoError::Eval);
+    }
+    let probe: interp::StopProbe = {
+        let interrupt = interrupt.clone();
+        Arc::new(move || match interrupt.check() {
+            Ok(()) => None,
+            Err(VmError::DeadlineExceeded) => Some(interp::Stop::Deadline),
+            Err(_) => Some(interp::Stop::Cancelled),
+        })
+    };
+    interp::execute_interruptible(q, ctx, udfs, probe).map_err(|e| match e {
+        EvalError::Interrupted { deadline: true } => StenoError::Vm(VmError::DeadlineExceeded),
+        EvalError::Interrupted { deadline: false } => StenoError::Vm(VmError::Cancelled),
+        other => StenoError::Eval(other),
+    })
 }
 
 /// Renders the measured loop facts a plan was compiled against for the
